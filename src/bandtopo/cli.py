@@ -72,7 +72,6 @@ class RunConfig:
     seed: int
     split_h: int | None
     sweep: dict | None
-    tolerances: dict
     out_dir: str | None
     workers: int
     verbose: bool = False
@@ -99,10 +98,10 @@ class RunConfig:
                     raise ConfigError(f"sweep block missing field {key!r}")
             if int(sweep["steps"]) < 2:
                 raise ConfigError("sweep needs steps >= 2")
-        tolerances = doc.get("tolerances") or {}
-        for name, value in tolerances.items():
-            if not isinstance(value, (int, float)) or value <= 0:
-                raise ConfigError(f"tolerance {name!r} must be positive")
+        if "tolerances" in doc:
+            raise ConfigError(
+                "the tolerances block is not supported: certificate thresholds are fixed"
+            )
         if command in ("chern", "delta", "split", "frame", "sweep", "equivalence"):
             if not doc.get("model"):
                 raise ConfigError(f"{command} needs a model block")
@@ -119,7 +118,6 @@ class RunConfig:
             seed=int(overrides.get("seed", doc.get("seed", 0))),
             split_h=doc.get("split_h"),
             sweep=sweep,
-            tolerances=tolerances,
             out_dir=overrides.get("out")
             or doc.get("out")
             or os.environ.get(ENV_OUT_DIR),

@@ -29,11 +29,20 @@ import json
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInput, ParityObstruction
+from .errors import (
+    BandTopoError,
+    IntegralityViolation,
+    InvalidInput,
+    ParityObstruction,
+    Unresolved,
+)
 from .invariants import (
-    InvariantReport,
+    DEFAULT_GRID,
+    MAX_REFINE_DEPTH,
     _delta_from_family,
+    _run_ladder,
     chern,
+    delta,
     matching_family,
     occupied_basis,
 )
@@ -47,10 +56,8 @@ from .trs import (
     validate_field,
 )
 
-DEFAULT_GRID = Grid2(32, 32)
 CERT_TOL = 1e-7
 FRAME_TOL = 1e-8
-MAX_REFINE_DEPTH = 8
 
 
 # --------------------------------------------------------------------------
@@ -100,32 +107,28 @@ def _audit_frame(vectors, field, exponents, trs=None):
     n1 = n1p1 - 1
     t_nodes = np.append(linalg.grid_nodes(n1), np.pi)
     k2_nodes = linalg.grid_nodes(n2)
-    gram = 0.0
-    recon = 0.0
-    for i in range(n1p1):
-        for j in range(n2):
-            f = vectors[i, j]
-            gram = max(gram, linalg.op_norm(f.conj().T @ f - np.eye(r)))
-            p = field.at(t_nodes[i], k2_nodes[j])
-            recon = max(recon, linalg.op_norm(f @ f.conj().T - p))
-    boundary = 0.0
-    for j, k2 in enumerate(k2_nodes):
-        phase = np.exp(1j * np.asarray(exponents) * k2)
-        boundary = max(
-            boundary, np.max(np.abs(vectors[n1, j] - vectors[0, j] * phase[None, :]))
-        )
-    out = {"gram": gram, "reconstruction": recon, "boundary_law": boundary}
+    rows = range(n1p1)
+    phase = np.exp(1j * np.asarray(exponents) * k2_nodes[:, None])
+    out = {
+        "gram": max(linalg.unitarity_defect(vectors[i]) for i in rows),
+        "reconstruction": max(
+            linalg.op_norm(
+                vectors[i] @ linalg.dagger(vectors[i])
+                - field.sample_row(t_nodes[i], k2_nodes)
+            )
+            for i in rows
+        ),
+        "boundary_law": float(np.max(np.abs(vectors[n1] - vectors[0] * phase[:, None, :]))),
+    }
     if trs is not None:
         n = r // 2
-        kramers = 0.0
-        for i in range(n1p1):
-            for j in range(n2):
-                mirrored = vectors[n1 - i, (-j) % n2][:, :n]
-                kramers = max(
-                    kramers,
-                    np.max(np.abs(vectors[i, j][:, n:] + trs.apply(mirrored))),
-                )
-        out["kramers"] = kramers
+        neg = (-np.arange(n2)) % n2
+        out["kramers"] = max(
+            float(
+                np.abs(vectors[i][..., n:] + trs.apply(vectors[n1 - i][neg][..., :n])).max()
+            )
+            for i in rows
+        )
     return out
 
 
@@ -156,10 +159,23 @@ class GluingMatrixPath:
 
 
 def _lambda_diag(h, n, k2):
-    lam = np.ones(2 * n, dtype=complex)
-    lam[0] = np.exp(1j * h * k2)
-    lam[n] = np.exp(-1j * h * k2)
+    """Diagonal of Lambda(k2) = diag(e^{i h k2}, 1.., e^{-i h k2}, 1..).
+
+    ``k2`` may be an array of nodes; the diagonals then stack along it.
+    """
+    k2 = np.asarray(k2)
+    lam = np.ones(k2.shape + (2 * n,), dtype=complex)
+    lam[..., 0] = np.exp(1j * h * k2)
+    lam[..., n] = np.exp(-1j * h * k2)
     return lam
+
+
+def _diag_stack(diagonals):
+    """(N, m, m) diagonal matrices from (N, m) diagonals, as np.diag builds them."""
+    n, m = diagonals.shape
+    out = np.zeros((n, m, m), dtype=complex)
+    out[:, np.arange(m), np.arange(m)] = diagonals
+    return out
 
 
 def _build_boundary_gluing(alpha4, h, n):
@@ -223,15 +239,18 @@ def split(
         raise InvalidInput("split needs a TRS-certified field")
     if field.rank % 2 != 0:
         raise InvalidInput("split needs even rank")
+    return _split(field, h, grid, max_depth)
+
+
+def _split(field, h, grid, max_depth):
+    """split's refinement ladder; ``h=None`` takes h in {0, 1} from delta."""
     n = field.rank // 2
-
-    from .invariants import _run_ladder
-    from .errors import IntegralityViolation
-
-    def pipeline(g):
-        return _split_at_grid(field, h, n, g)
-
-    result, depth = _run_ladder(grid, pipeline, max_depth, soft_errors=(IntegralityViolation,))
+    result, depth = _run_ladder(
+        grid,
+        lambda g: _split_at_grid(field, h, n, g),
+        max_depth,
+        soft_errors=(IntegralityViolation,),
+    )
     result.residuals["grid_depth"] = depth
     return result
 
@@ -246,7 +265,9 @@ def _split_at_grid(field, h, n, g):
     qbasis = quaternionic_basis(occ, trs)
     fam = matching_family(sheet, qbasis)
     sign, _ = _delta_from_family(fam)
-    if (-1) ** (h % 2) != sign:
+    if h is None:
+        h = 0 if sign == 1 else 1
+    elif (-1) ** (h % 2) != sign:
         raise ParityObstruction(sign, h)
 
     # the gluing equations live in the opposite seam orientation:
@@ -260,78 +281,55 @@ def _split_at_grid(field, h, n, g):
     r_twist = w_beta // 2
 
     nodes2 = linalg.grid_nodes(n2)
-    beta_0 = np.zeros_like(beta_pi)
-    diag = np.ones(2 * n, dtype=complex)
-    for idx, k2 in enumerate(nodes2):
-        d = diag.copy()
-        d[0] = np.exp(1j * r_twist * k2)
-        d[n] = np.exp(1j * r_twist * k2)
-        beta_0[idx] = np.diag(d)
+    twist = np.ones((n2, 2 * n), dtype=complex)
+    twist[:, 0] = twist[:, n] = np.exp(1j * r_twist * nodes2)
+    beta_0 = _diag_stack(twist)
 
     hom = linalg.connect_loops(
         linalg.UnitaryLoop(beta_0), linalg.UnitaryLoop(beta_pi), n_steps=n1 // 2
     )
 
+    # every assembly and audit below goes one t-row of n2 matrices at a
+    # time, so it allocates no temporary the size of the grid
+    rows = range(n1 + 1)
+    neg = (-np.arange(n2)) % n2
     beta = np.empty((n1 + 1, n2, 2 * n, 2 * n), dtype=complex)
     mid = n1 // 2
-    for i in range(mid, n1 + 1):
-        beta[i] = hom.snapshots[i - mid]
+    beta[mid:] = hom.snapshots
     for i in range(mid):
-        for jj in range(n2):
-            beta[i, jj] = j.conj().T @ np.conj(beta[n1 - i, (-jj) % n2]) @ j
+        beta[i] = j.conj().T @ np.conj(beta[n1 - i][neg]) @ j
 
-    sym_res = 0.0
-    seam_res = 0.0
-    for i in range(n1 + 1):
-        for jj in range(n2):
-            lhs = j @ beta[i, jj]
-            rhs = np.conj(beta[n1 - i, (-jj) % n2]) @ j
-            sym_res = max(sym_res, linalg.op_norm(lhs - rhs))
-    for jj, k2 in enumerate(nodes2):
-        lam = np.diag(_lambda_diag(h, n, k2))
-        seam_res = max(
-            seam_res,
-            linalg.op_norm(beta[n1, jj] - lam @ beta[0, jj] @ alpha4[jj]),
-        )
+    sym_res = max(linalg.op_norm(j @ beta[i] - np.conj(beta[n1 - i][neg]) @ j) for i in rows)
+    lam = _diag_stack(_lambda_diag(h, n, nodes2))
+    seam_res = linalg.op_norm(beta[n1] - lam @ beta[0] @ alpha4)
     gluing = GluingMatrixPath(beta, h, sym_res, seam_res)
 
     # frames: F = Psi beta^T with Psi the transported quaternionic basis
     frames = np.empty((n1 + 1, n2, field.dim, 2 * n), dtype=complex)
-    for i in range(n1 + 1):
-        for jj in range(n2):
-            psi = sheet.u[i, jj] @ qbasis.matrix
-            frames[i, jj] = psi @ beta[i, jj].T
-
     p_minus = np.empty((n1 + 1, n2, field.dim, field.dim), dtype=complex)
     p_plus = np.empty_like(p_minus)
-    for i in range(n1 + 1):
-        for jj in range(n2):
-            fm = frames[i, jj][:, :n]
-            fp = frames[i, jj][:, n:]
-            p_minus[i, jj] = fm @ fm.conj().T
-            p_plus[i, jj] = fp @ fp.conj().T
+    for i in rows:
+        frames[i] = sheet.u[i] @ qbasis.matrix @ np.swapaxes(beta[i], -1, -2)
+        fm, fp = frames[i][..., :n], frames[i][..., n:]
+        p_minus[i] = fm @ linalg.dagger(fm)
+        p_plus[i] = fp @ linalg.dagger(fp)
 
     # factor-level residuals
-    res = {
-        "orthogonality": 0.0,
-        "sum": 0.0,
-        "trs_exchange": 0.0,
-        "idempotency": 0.0,
-        "t_closure": 0.0,
-    }
     t_nodes = np.append(g.nodes1, np.pi)
-    for i in range(n1 + 1):
-        for jj in range(n2):
-            pm, pp = p_minus[i, jj], p_plus[i, jj]
-            res["orthogonality"] = max(res["orthogonality"], linalg.op_norm(pm @ pp))
-            res["idempotency"] = max(res["idempotency"], linalg.op_norm(pm @ pm - pm))
-            p_full = field.at(t_nodes[i], nodes2[jj])
-            res["sum"] = max(res["sum"], linalg.op_norm(pm + pp - p_full))
-            res["trs_exchange"] = max(
-                res["trs_exchange"],
-                linalg.op_norm(trs.conjugate(pp) - p_minus[n1 - i, (-jj) % n2]),
-            )
-    res["t_closure"] = float(np.max(np.abs(p_minus[n1] - p_minus[0])))
+    res = {
+        "orthogonality": max(linalg.op_norm(p_minus[i] @ p_plus[i]) for i in rows),
+        "sum": max(
+            linalg.op_norm(p_minus[i] + p_plus[i] - field.sample_row(t_nodes[i], nodes2))
+            for i in rows
+        ),
+        "trs_exchange": max(
+            linalg.op_norm(trs.conjugate(p_plus[i]) - p_minus[n1 - i][neg]) for i in rows
+        ),
+        "idempotency": max(
+            linalg.op_norm(p_minus[i] @ p_minus[i] - p_minus[i]) for i in rows
+        ),
+        "t_closure": float(np.max(np.abs(p_minus[n1] - p_minus[0]))),
+    }
     worst = max(res["orthogonality"], res["sum"], res["trs_exchange"], res["idempotency"])
     if worst > CERT_TOL:
         raise InvalidInput(f"split certificate residual {worst:.3e} > {CERT_TOL:.0e}")
@@ -392,28 +390,22 @@ def pseudo_periodic_frame(
     a contraction-based homotopy Id -> g_1 parameterized along t, and the
     basis rotation F(t, k2) = U(t, k2) B g_{(t+pi)/(2 pi)}(k2).
     """
-    from .invariants import _run_ladder
-
     def pipeline(g):
         sheet = transport_2d(field, g, symmetric=False)
         basis = occupied_basis(sheet.base_projector, field.rank)
         fam = matching_family(sheet, basis)
         c = linalg.winding(fam.det_loop())
 
-        nodes2 = g.nodes2
-        g1 = np.empty_like(fam.alpha)
-        for jj, k2 in enumerate(nodes2):
-            d = np.ones(field.rank, dtype=complex)
-            d[0] = np.exp(1j * c * k2)
-            g1[jj] = fam.alpha[jj].conj().T @ np.diag(d)
+        twist = np.ones((g.n2, field.rank), dtype=complex)
+        twist[:, 0] = np.exp(1j * c * g.nodes2)
+        g1 = linalg.dagger(fam.alpha) @ _diag_stack(twist)
         id_loop = np.repeat(np.eye(field.rank)[None], g.n2, axis=0)
         hom = linalg.connect_loops(
             linalg.UnitaryLoop(id_loop), linalg.UnitaryLoop(g1), n_steps=g.n1
         )
         vectors = np.empty((g.n1 + 1, g.n2, field.dim, field.rank), dtype=complex)
         for i in range(g.n1 + 1):
-            for jj in range(g.n2):
-                vectors[i, jj] = sheet.u[i, jj] @ basis @ hom.snapshots[i][jj]
+            vectors[i] = sheet.u[i] @ basis @ hom.snapshots[i]
         exponents = np.zeros(field.rank, dtype=int)
         exponents[0] = c
         residuals = _audit_frame(vectors, field, exponents)
@@ -447,28 +439,24 @@ def symmetric_frame(
     """
     if field.trs is None:
         raise InvalidInput("symmetric frames need a TRS-certified field")
-    from .invariants import delta as delta_invariant
-
-    d = delta_invariant(field, grid, max_depth=max_depth).value
-    h = 0 if d == 1 else 1
-    cert = split(field, h, grid, max_depth=max_depth)
+    cert = _split(field, None, grid, max_depth)
     minus_frame = pseudo_periodic_frame(cert.minus, grid, max_depth=max_depth)
 
     mf = minus_frame.vectors
     n1p1, n2, dim, n = mf.shape
     n1 = n1p1 - 1
+    neg = (-np.arange(n2)) % n2
     vectors = np.empty((n1p1, n2, dim, 2 * n), dtype=complex)
+    vectors[..., :n] = mf
     for i in range(n1p1):
-        for jj in range(n2):
-            vectors[i, jj][:, :n] = mf[i, jj]
-            vectors[i, jj][:, n:] = -field.trs.apply(mf[n1 - i, (-jj) % n2])
+        vectors[i, ..., n:] = -field.trs.apply(mf[n1 - i][neg])
     exponents = np.zeros(2 * n, dtype=int)
     exponents[0] = minus_frame.h
     exponents[n] = -minus_frame.h
     residuals = _audit_frame(vectors, field, exponents, trs=field.trs)
     if residuals["boundary_law"] > FRAME_TOL or residuals["kramers"] > FRAME_TOL:
         raise InvalidInput(f"symmetric frame residuals out of tolerance: {residuals}")
-    residuals["delta"] = d
+    residuals["delta"] = cert.delta
     return FrameField(
         vectors,
         exponents,
@@ -530,10 +518,8 @@ def symmetric_equivalence(
             "equivalence is defined against a single time-reversal operator; "
             "the two fields carry different J"
         )
-    from .invariants import delta as delta_invariant
-
-    d0 = delta_invariant(field0, grid, max_depth=max_depth).value
-    d1 = delta_invariant(field1, grid, max_depth=max_depth).value
+    d0 = delta(field0, grid, max_depth=max_depth).value
+    d1 = delta(field1, grid, max_depth=max_depth).value
     if d0 != d1:
         return EquivalenceResult(True, d0, d1)
 
@@ -556,8 +542,6 @@ def symmetric_equivalence(
             for fr, src in zip(frames, sources)
         ]
     else:
-        from .errors import Unresolved
-
         raise Unresolved("frame grids failed to converge to a common refinement")
 
     f0, f1 = frames[0], frames[1]
@@ -567,32 +551,29 @@ def symmetric_equivalence(
 
     n1p1, n2 = f0.vectors.shape[0], f0.vectors.shape[1]
     n1 = n1p1 - 1
-    dim = field0.dim
-    v = np.zeros((n1p1, n2, dim, dim), dtype=complex)
-    for i in range(n1p1):
-        for jj in range(n2):
-            for a, b in pieces:
-                v[i, jj] += b.vectors[i, jj] @ a.vectors[i, jj].conj().T
+    rows = range(n1p1)
+    neg = (-np.arange(n2)) % n2
+    v = np.zeros((n1p1, n2, field0.dim, field0.dim), dtype=complex)
+    for i in rows:
+        for a, b in pieces:
+            v[i] += b.vectors[i] @ linalg.dagger(a.vectors[i])
 
-    res = {"unitarity": 0.0, "periodicity": 0.0, "trs": 0.0, "intertwining": 0.0}
     t_nodes = np.append(linalg.grid_nodes(n1), np.pi)
     k2_nodes = linalg.grid_nodes(n2)
-    for i in range(n1p1):
-        for jj in range(n2):
-            res["unitarity"] = max(res["unitarity"], linalg.unitarity_defect(v[i, jj]))
-            p0 = field0.at(t_nodes[i], k2_nodes[jj])
-            p1 = field1.at(t_nodes[i], k2_nodes[jj])
-            res["intertwining"] = max(
-                res["intertwining"],
-                linalg.op_norm(v[i, jj] @ p0 @ v[i, jj].conj().T - p1),
+    res = {
+        "unitarity": max(linalg.unitarity_defect(v[i]) for i in rows),
+        "periodicity": float(np.max(np.abs(v[n1] - v[0]))),
+        "trs": max(
+            linalg.op_norm(field0.trs.conjugate(v[i]) - v[n1 - i][neg]) for i in rows
+        ),
+        "intertwining": max(
+            linalg.op_norm(
+                v[i] @ field0.sample_row(t_nodes[i], k2_nodes) @ linalg.dagger(v[i])
+                - field1.sample_row(t_nodes[i], k2_nodes)
             )
-            res["trs"] = max(
-                res["trs"],
-                linalg.op_norm(
-                    field0.trs.conjugate(v[i, jj]) - v[n1 - i, (-jj) % n2]
-                ),
-            )
-    res["periodicity"] = float(np.max(np.abs(v[n1] - v[0])))
+            for i in rows
+        ),
+    }
     if max(res.values()) > CERT_TOL:
         raise InvalidInput(f"equivalence residuals out of tolerance: {res}")
     return EquivalenceResult(False, d0, d1, unitary=v, residuals=res)
@@ -623,8 +604,6 @@ def verify_homotopy(path, grid: Grid2 = Grid2(16, 16)) -> HomotopyReport:
     Never raises on content failures; the report pinpoints the offending
     snapshot or step.
     """
-    from .invariants import delta as delta_invariant
-
     failures = []
     reports = []
     for idx, field in enumerate(path):
@@ -635,13 +614,12 @@ def verify_homotopy(path, grid: Grid2 = Grid2(16, 16)) -> HomotopyReport:
 
     distances = []
     for idx in range(len(path) - 1):
-        worst = 0.0
-        for k1 in grid.nodes1:
-            for k2 in grid.nodes2:
-                worst = max(
-                    worst,
-                    linalg.op_norm(path[idx].at(k1, k2) - path[idx + 1].at(k1, k2)),
-                )
+        worst = max(
+            linalg.op_norm(
+                path[idx].sample_row(k1, grid.nodes2) - path[idx + 1].sample_row(k1, grid.nodes2)
+            )
+            for k1 in grid.nodes1
+        )
         distances.append(worst)
         if worst > 0.5:
             failures.append(("step", idx, worst))
@@ -649,8 +627,8 @@ def verify_homotopy(path, grid: Grid2 = Grid2(16, 16)) -> HomotopyReport:
     deltas = []
     for idx, field in enumerate(path):
         try:
-            deltas.append(delta_invariant(field, grid).value)
-        except Exception as err:  # delta undefined counts as a failure
+            deltas.append(delta(field, grid).value)
+        except BandTopoError as err:  # delta undefined counts as a failure
             deltas.append(None)
             failures.append(("delta", idx, str(err)))
     if len({d for d in deltas if d is not None}) > 1:

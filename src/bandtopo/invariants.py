@@ -67,11 +67,13 @@ class MatchingFamily:
     alpha(k2) = B^dagger U(-pi, k2)^{-1} U(pi, k2) B on a fixed orthonormal
     basis B of the base image. For symmetric sheets with a quaternionic
     basis the family satisfies conj(alpha(k2)) J alpha(-k2) = J.
+    ``unitarity_defect`` is the largest defect audited over the loop.
     """
 
     alpha: np.ndarray  # (N2, r, r)
     symmetric: bool
     j_residual: float
+    unitarity_defect: float
     provenance: str = "matching"
 
     @property
@@ -117,32 +119,28 @@ def matching_family(sheet: TransportSheet, basis) -> MatchingFamily:
         raise InvalidInput(f"basis does not span the base image: residual {span:.3e}")
 
     minus, plus = sheet.column_minus_pi(), sheet.column_plus_pi()
-    n2 = minus.shape[0]
-    r = b.shape[1]
-    alpha = np.empty((n2, r, r), dtype=complex)
-    for j in range(n2):
-        alpha[j] = b.conj().T @ minus[j].conj().T @ plus[j] @ b
-    defect = max(linalg.unitarity_defect(alpha[j]) for j in range(n2))
+    alpha = linalg.dagger(b) @ linalg.dagger(minus) @ plus @ b
+    defect = linalg.unitarity_defect(alpha)
     if defect > 1e-9:
         raise InvalidInput(f"matching matrices lost unitarity: defect {defect:.3e}")
 
     symmetric = bool(sheet.symmetric and quaternionic)
     j_res = 0.0
     if symmetric:
-        j = canonical_j(r // 2)
-        for idx in range(n2):
-            neg = (-idx) % n2
-            j_res = max(
-                j_res, linalg.op_norm(j - np.conj(alpha[idx]) @ j @ alpha[neg])
-            )
+        j = canonical_j(b.shape[1] // 2)
+        neg = (-np.arange(alpha.shape[0])) % alpha.shape[0]
+        j_res = linalg.op_norm(j - np.conj(alpha) @ j @ alpha[neg])
         if j_res > J_CONSTRAINT_FAIL:
             raise SymmetryBroken(
                 f"matching family J-constraint residual {j_res:.3e} > 1e-6"
             )
-    return MatchingFamily(alpha, symmetric, j_res)
+    return MatchingFamily(alpha, symmetric, j_res, defect)
 
 
 def _run_ladder(grid, pipeline, max_depth, soft_errors=()):
+    # only the message of a failed attempt is kept: the exception's traceback
+    # holds that attempt's frames (its sheets and field memos) in a reference
+    # cycle that only a full garbage collection would free
     depth = 0
     current = grid
     while True:
@@ -150,10 +148,10 @@ def _run_ladder(grid, pipeline, max_depth, soft_errors=()):
             return pipeline(current), depth
         except RefinementNeeded as err:
             axis = err.axis
-            last = err
+            last = str(err)
         except soft_errors as err:
             axis = "k2"
-            last = err
+            last = str(err)
         depth += 1
         if depth > max_depth:
             raise Unresolved(f"refinement ladder exhausted at depth {max_depth}: {last}")
@@ -178,9 +176,7 @@ def chern(field: ProjectionField, grid: Grid2 = DEFAULT_GRID, max_depth=MAX_REFI
         {
             "winding_step_margin": det.step_margin,
             "intertwining_residual": sheet.intertwining_residual,
-            "matching_unitarity": float(
-                max(linalg.unitarity_defect(a) for a in fam.alpha)
-            ),
+            "matching_unitarity": fam.unitarity_defect,
             "grid_depth": depth,
             "grid": (sheet.grid.n1, sheet.grid.n2),
         },

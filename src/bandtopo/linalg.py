@@ -33,7 +33,6 @@ N_CUT_CANDIDATES = 16
 EXP_ROUNDTRIP_TOL = 1e-9
 J_SYMMETRY_TOL = 1e-8
 MAX_NYQUIST_STEP = 0.5 * np.pi
-MAX_REFINE_DEPTH = 8
 
 _CONTRACTION_SEED = 0x5EED
 _ANTIPODE_MARGIN = 0.3  # radians kept clear of the slerp antipode
@@ -45,12 +44,27 @@ def grid_nodes(n: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
 
+def dagger(a) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return np.swapaxes(np.conj(a), -1, -2)
+
+
+def op_norms(a) -> np.ndarray:
+    """Operator 2-norm of every matrix in a stack (..., m, n)."""
+    return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
 def op_norm(a) -> float:
-    """Operator 2-norm (largest singular value)."""
+    """Operator 2-norm (largest singular value); the largest over a stack.
+
+    A stack (..., m, n) is reduced to the maximum of its matrices' norms,
+    which equals the maximum of per-matrix calls exactly; an empty stack
+    gives 0.0.
+    """
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(op_norms(a).max())
 
 
 def require_finite(a, name="matrix"):
@@ -59,13 +73,15 @@ def require_finite(a, name="matrix"):
 
 
 def unitarity_defect(u) -> float:
+    """||u^dagger u - Id||, the largest over a stack (..., m, n)."""
     u = np.asarray(u)
-    return op_norm(u.conj().T @ u - np.eye(u.shape[0]))
+    return op_norm(dagger(u) @ u - np.eye(u.shape[-1]))
 
 
 def hermiticity_defect(a) -> float:
+    """||a - a^dagger||, the largest over a stack (..., m, m)."""
     a = np.asarray(a)
-    return op_norm(a - a.conj().T)
+    return op_norm(a - dagger(a))
 
 
 def check_unitary(u, tol=UNITARY_TOL, name="matrix"):
@@ -305,7 +321,7 @@ class UnitaryLoop:
             raise InvalidInput("unitary loop needs shape (N, m, m)")
         if s.shape[0] % 2 != 0:
             raise InvalidInput("unitary loop sample count must be even")
-        defect = _batch_unitarity_defect(s)
+        defect = unitarity_defect(s)
         if defect > UNITARY_TOL:
             raise InvalidInput(f"unitary loop sample defect {defect:.3e} > 1e-10")
         object.__setattr__(self, "samples", s)
@@ -321,21 +337,12 @@ class UnitaryLoop:
     @property
     def max_step(self) -> float:
         """Largest consecutive-sample distance, wrap step included."""
-        diff = np.roll(self.samples, -1, axis=0) - self.samples
-        return float(np.linalg.svd(diff, compute_uv=False)[:, 0].max())
+        return op_norm(np.roll(self.samples, -1, axis=0) - self.samples)
 
     def det_loop(self) -> PhaseLoop:
         """Determinant phases, normalized back onto the unit circle."""
         d = np.linalg.det(self.samples)
         return PhaseLoop(d / np.abs(d))
-
-
-def _batch_unitarity_defect(stack):
-    eye = np.eye(stack.shape[-1])
-    g = np.einsum("...ji,...jk->...ik", stack.conj(), stack) - eye
-    if g.size == 0:
-        return 0.0
-    return float(np.linalg.svd(g, compute_uv=False)[..., 0].max())
 
 
 @dataclass(frozen=True)
@@ -360,11 +367,10 @@ class LoopHomotopy:
         return UnitaryLoop(self.snapshots[index])
 
     def max_snapshot_step(self) -> float:
-        diff = self.snapshots[1:] - self.snapshots[:-1]
-        return float(np.linalg.svd(diff, compute_uv=False)[..., 0].max())
+        return op_norm(self.snapshots[1:] - self.snapshots[:-1])
 
     def unitarity_defect(self) -> float:
-        return _batch_unitarity_defect(self.snapshots)
+        return unitarity_defect(self.snapshots)
 
     def verify(self, tol=1e-9) -> dict:
         """Residual summary; raises nothing, callers assert on the fields."""

@@ -230,26 +230,23 @@ def transport_2d(
             for i in range(mid - 1, -1, -1):
                 step = _chain_step(p_eval, t_nodes[i + 1], t_nodes[i], step_target, 0, "t")
                 u[i, j] = step @ u[i + 1, j]
+    # the T-mirror and the audits go one t-row of n2 matrices at a time,
+    # so they allocate no temporary the size of the sheet
+    neg = (-np.arange(n2)) % n2
     if symmetric:
         for i in range(mid - 1, -1, -1):
-            for j in range(n2):
-                u[i, j] = trs.conjugate(u[n1 - i, (-j) % n2])
+            u[i] = trs.conjugate(u[n1 - i][neg])
 
     base = field.at(0.0, 0.0)
-    inter = 0.0
-    for i in range(n1 + 1):
-        for j, k2 in enumerate(k2_nodes):
-            p = field.at(t_nodes[i], k2)
-            inter = max(inter, linalg.op_norm(u[i, j] @ base @ u[i, j].conj().T - p))
-
+    inter = max(
+        linalg.op_norm(u[i] @ base @ linalg.dagger(u[i]) - field.sample_row(t, k2_nodes))
+        for i, t in enumerate(t_nodes)
+    )
     sym_res = 0.0
     if symmetric:
-        for i in range(mid, n1 + 1):
-            for j in range(n2):
-                mirror = trs.conjugate(u[i, j])
-                sym_res = max(
-                    sym_res, linalg.op_norm(mirror - u[n1 - i, (-j) % n2])
-                )
+        sym_res = max(
+            linalg.op_norm(trs.conjugate(u[i]) - u[n1 - i][neg]) for i in range(mid, n1 + 1)
+        )
 
     return TransportSheet(
         u=u,

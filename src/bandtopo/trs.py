@@ -150,11 +150,14 @@ class ProjectionField:
     def __call__(self, k1, k2):
         return self.at(k1, k2)
 
+    def sample_row(self, k1, nodes2) -> np.ndarray:
+        """The (len(nodes2), D, D) stack of P(k1, k2) over the given k2 nodes."""
+        return np.array([self.at(k1, k2) for k2 in nodes2])
+
     def sample_grid(self, grid: Grid2) -> np.ndarray:
         out = np.empty((grid.n1, grid.n2, self.dim, self.dim), dtype=complex)
         for i, k1 in enumerate(grid.nodes1):
-            for j, k2 in enumerate(grid.nodes2):
-                out[i, j] = self.at(k1, k2)
+            out[i] = self.sample_row(k1, grid.nodes2)
         return out
 
 
@@ -202,8 +205,8 @@ class SampledProjectionField(ProjectionField):
         if samples.ndim != 4 or samples.shape[2] != samples.shape[3]:
             raise InvalidInput("samples must have shape (N1, N2, D, D)")
         n1, n2, dim, _ = samples.shape
-        step1 = _max_adjacent_distance(samples, axis=0)
-        step2 = _max_adjacent_distance(samples, axis=1)
+        step1 = linalg.op_norm(np.roll(samples, -1, axis=0) - samples)
+        step2 = linalg.op_norm(np.roll(samples, -1, axis=1) - samples)
         if max(step1, step2) > 0.4:
             raise RefinementNeeded(
                 f"sample grid too coarse for retraction: step {max(step1, step2):.3f}",
@@ -252,11 +255,6 @@ def _locate(k, n):
         frac = 0.0
         i0 = (i0 + 1) % n
     return i0, frac
-
-
-def _max_adjacent_distance(samples, axis):
-    diff = np.roll(samples, -1, axis=axis) - samples
-    return float(np.linalg.svd(diff, compute_uv=False)[..., 0].max())
 
 
 @dataclass
@@ -349,68 +347,64 @@ class ValidationReport:
         }
 
 
+def _worst(values, k1s, k2s):
+    """Largest residual and the first node (k1s[k], k2s[k]) attaining it.
+
+    A residual of zero keeps the default point (0.0, 0.0).
+    """
+    k = int(np.argmax(values))
+    if values[k] > 0.0:
+        return float(values[k]), (k1s[k], k2s[k])
+    return 0.0, (0.0, 0.0)
+
+
 def validate_field(field: ProjectionField, grid: Grid2) -> ValidationReport:
     """Audit idempotency, hermiticity, rank, periodicity and TRS residuals.
 
     Side-effect free and idempotent; failures are reported, never raised.
+    Residuals are computed one k1 row at a time; each worst point is the
+    first node in row-major order attaining its residual.
     """
     nodes1, nodes2 = grid.nodes1, grid.nodes2
-    names = ["idempotency", "hermiticity", "rank", "periodicity"]
-    residuals = {name: 0.0 for name in names}
-    worst = {name: (0.0, 0.0) for name in names}
-    eye_like = None
-
-    samples = field.sample_grid(grid)
-    for i, k1 in enumerate(nodes1):
-        for j, k2 in enumerate(nodes2):
-            p = samples[i, j]
-            r_idem = linalg.op_norm(p @ p - p)
-            r_herm = linalg.hermiticity_defect(p)
-            r_rank = abs(np.trace(p).real - field.rank)
-            for name, val in (
-                ("idempotency", r_idem),
-                ("hermiticity", r_herm),
-                ("rank", r_rank),
-            ):
-                if val > residuals[name]:
-                    residuals[name] = val
-                    worst[name] = (k1, k2)
-
-    # periodicity along both axes on the grid edges
-    for j, k2 in enumerate(nodes2):
-        val = linalg.op_norm(field.at(nodes1[0] + 2.0 * np.pi, k2) - samples[0, j])
-        if val > residuals["periodicity"]:
-            residuals["periodicity"] = val
-            worst["periodicity"] = (nodes1[0], k2)
-    for i, k1 in enumerate(nodes1):
-        val = linalg.op_norm(field.at(k1, nodes2[0] + 2.0 * np.pi) - samples[i, 0])
-        if val > residuals["periodicity"]:
-            residuals["periodicity"] = val
-            worst["periodicity"] = (k1, nodes2[0])
-
+    n1, n2 = grid.n1, grid.n2
+    checked_trs = field.trs is not None
     thresholds = {
         "idempotency": IDEMPOTENCY_TOL,
         "hermiticity": HERMITICITY_TOL,
         "rank": RANK_TOL,
         "periodicity": PERIODICITY_TOL,
     }
-
-    checked_trs = field.trs is not None
     if checked_trs:
-        residuals["trs"] = 0.0
-        worst["trs"] = (0.0, 0.0)
         thresholds["trs"] = TRS_TOL
-        for i, k1 in enumerate(nodes1):
-            for j, k2 in enumerate(nodes2):
-                i_neg = Grid2.negate_index(i, grid.n1)
-                j_neg = Grid2.negate_index(j, grid.n2)
-                val = linalg.op_norm(
-                    field.trs.conjugate(samples[i, j]) - samples[i_neg, j_neg]
-                )
-                if val > residuals["trs"]:
-                    residuals["trs"] = val
-                    worst["trs"] = (k1, k2)
+    per_node = {name: np.empty((n1, n2)) for name in thresholds if name != "periodicity"}
 
+    samples = field.sample_grid(grid)
+    neg2 = (-np.arange(n2)) % n2
+    for i in range(n1):
+        p = samples[i]
+        per_node["idempotency"][i] = linalg.op_norms(p @ p - p)
+        per_node["hermiticity"][i] = linalg.op_norms(p - linalg.dagger(p))
+        per_node["rank"][i] = np.abs(np.trace(p, axis1=-2, axis2=-1).real - field.rank)
+        if checked_trs:
+            mirror = samples[Grid2.negate_index(i, n1)][neg2]
+            per_node["trs"][i] = linalg.op_norms(field.trs.conjugate(p) - mirror)
+
+    # periodicity along both axes on the grid edges
+    shifted1 = field.sample_row(nodes1[0] + 2.0 * np.pi, nodes2)
+    shifted2 = np.array([field.at(k1, nodes2[0] + 2.0 * np.pi) for k1 in nodes1])
+    edges = (
+        np.concatenate(
+            [linalg.op_norms(shifted1 - samples[0]), linalg.op_norms(shifted2 - samples[:, 0])]
+        ),
+        np.concatenate([np.full(n2, nodes1[0]), nodes1]),
+        np.concatenate([nodes2, np.full(n1, nodes2[0])]),
+    )
+    on_grid = (np.repeat(nodes1, n2), np.tile(nodes2, n1))
+
+    residuals, worst = {}, {}
+    for name in thresholds:
+        values, k1s, k2s = edges if name == "periodicity" else (per_node[name].ravel(), *on_grid)
+        residuals[name], worst[name] = _worst(values, k1s, k2s)
     return ValidationReport(residuals, worst, thresholds, checked_trs)
 
 

@@ -62,6 +62,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(doc)
 
+    def test_rejects_tolerances_block(self, tmp_path):
+        doc = dict(KM_TOPO, tolerances={"cert": 1e-6})
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(doc)
+        assert main(["--config", str(write_config(tmp_path, doc))]) == 4
+
 
 class TestRunSingle:
     def test_delta_on_topological_kane_mele(self):

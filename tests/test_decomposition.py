@@ -56,6 +56,36 @@ def km_field(lambda_v):
     return field
 
 
+def per_node_split_residuals(field, cert):
+    """Per-node reference for split's row-batched audits."""
+    frames, beta = cert.frames, cert.gluing.beta
+    n1, n2 = frames.shape[0] - 1, frames.shape[1]
+    n = frames.shape[3] // 2
+    j = canonical_j(n)
+    t_nodes = np.append(linalg.grid_nodes(n1), np.pi)
+    k2_nodes = linalg.grid_nodes(n2)
+    pm = np.empty((n1 + 1, n2, field.dim, field.dim), dtype=complex)
+    pp = np.empty_like(pm)
+    for i in range(n1 + 1):
+        for jj in range(n2):
+            fm, fp = frames[i, jj][:, :n], frames[i, jj][:, n:]
+            pm[i, jj] = fm @ fm.conj().T
+            pp[i, jj] = fp @ fp.conj().T
+    ref = dict.fromkeys(("orthogonality", "sum", "trs_exchange", "idempotency", "symmetry"), 0.0)
+    for i in range(n1 + 1):
+        for jj in range(n2):
+            mirror = (n1 - i, (-jj) % n2)
+            for key, val in (
+                ("orthogonality", pm[i, jj] @ pp[i, jj]),
+                ("sum", pm[i, jj] + pp[i, jj] - field.at(t_nodes[i], k2_nodes[jj])),
+                ("trs_exchange", field.trs.conjugate(pp[i, jj]) - pm[mirror]),
+                ("idempotency", pm[i, jj] @ pm[i, jj] - pm[i, jj]),
+                ("symmetry", j @ beta[i, jj] - np.conj(beta[mirror]) @ j),
+            ):
+                ref[key] = max(ref[key], linalg.op_norm(val))
+    return ref
+
+
 class TestSplit:
     def test_constant_trs_projector(self):
         f = constant_trs_field(1, 2)
@@ -73,6 +103,14 @@ class TestSplit:
             assert cert.residuals[key] <= 1e-7
         assert cert.gluing.seam_residual <= 1e-7
         assert cert.gluing.symmetry_residual <= 1e-7
+
+    def test_residuals_match_per_node_loop(self):
+        # the row-batched audits reproduce the per-node reference exactly
+        f = km_field(0.1)
+        cert = split(f, 1, Grid2(16, 16))
+        ref = per_node_split_residuals(f, cert)
+        assert cert.gluing.symmetry_residual == ref.pop("symmetry")
+        assert {key: cert.residuals[key] for key in ref} == ref
 
     def test_kane_mele_topological_h0_obstructed(self):
         with pytest.raises(ParityObstruction):
@@ -150,6 +188,7 @@ class TestSymmetricFrame:
         assert frame.residuals["boundary_law"] <= 1e-8
 
 
+@pytest.mark.slow
 class TestSymmetricEquivalence:
     def test_same_field(self):
         f = km_field(0.1)
@@ -213,6 +252,17 @@ class TestVerifyHomotopy:
         assert not report.passed
         kinds = {f[0] for f in report.failures}
         assert "snapshot" in kinds or "step" in kinds
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        from bandtopo import decomposition
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in the delta pipeline")
+
+        monkeypatch.setattr(decomposition, "delta", broken)
+        f = constant_trs_field(1, 2)
+        with pytest.raises(RuntimeError, match="bug in the delta pipeline"):
+            verify_homotopy([f, f], Grid2(8, 8))
 
 
 class TestFrameExport:

@@ -94,6 +94,37 @@ class TestMatchingFamily:
         assert not fam.symmetric
 
 
+class TestRefinementLadder:
+    def test_failed_attempts_are_released(self):
+        # a refined attempt must not keep the data of the attempts before it
+        import gc
+        import weakref
+
+        from bandtopo.errors import RefinementNeeded, Unresolved
+        from bandtopo.invariants import _run_ladder
+
+        class Attempt:
+            pass
+
+        refs = []
+
+        def pipeline(g):
+            attempt = Attempt()
+            refs.append(weakref.ref(attempt))
+            if g.n1 < 16:
+                raise RefinementNeeded(f"coarse at {g.n1}", axis="t")
+            return g.n1
+
+        gc.disable()
+        try:
+            assert _run_ladder(Grid2(4, 4), pipeline, 3) == (16, 2)
+            assert [r() is None for r in refs] == [True, True, True]
+        finally:
+            gc.enable()
+        with pytest.raises(Unresolved, match="exhausted at depth 1: coarse at 8"):
+            _run_ladder(Grid2(4, 4), pipeline, 1)
+
+
 class TestChern:
     def test_constant(self):
         f = trs_constant_field(1, 2)

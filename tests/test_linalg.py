@@ -49,6 +49,41 @@ class TestEigh:
             linalg.eigh(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+class TestStackAudit:
+    """op_norm and the defects reduce a stack (..., m, m) to its largest value."""
+
+    def test_stack_equals_max_of_matrices(self):
+        r = rng(41)
+        stack = r.standard_normal((3, 5, 4, 4)) + 1j * r.standard_normal((3, 5, 4, 4))
+        flat = stack.reshape(-1, 4, 4)
+        assert linalg.op_norm(stack) == max(linalg.op_norm(a) for a in flat)
+        assert linalg.unitarity_defect(stack) == max(linalg.unitarity_defect(a) for a in flat)
+        assert linalg.hermiticity_defect(stack) == max(
+            linalg.hermiticity_defect(a) for a in flat
+        )
+
+    def test_unitary_stack_defect(self):
+        r = rng(42)
+        stack = np.stack([random_unitary(r, 6) for _ in range(7)])
+        assert linalg.unitarity_defect(stack) == max(
+            linalg.unitarity_defect(u) for u in stack
+        )
+        assert linalg.unitarity_defect(stack) <= 1e-12
+
+    def test_empty_stack(self):
+        empty = np.zeros((0, 3, 3), dtype=complex)
+        assert linalg.op_norm(empty) == 0.0
+        assert linalg.unitarity_defect(empty) == 0.0
+        assert linalg.hermiticity_defect(empty) == 0.0
+
+    def test_matrix_input_unchanged(self):
+        r = rng(43)
+        a = r.standard_normal((5, 5)) + 1j * r.standard_normal((5, 5))
+        assert linalg.op_norm(a) == float(np.linalg.norm(a, 2))
+        assert linalg.unitarity_defect(a) == float(np.linalg.norm(a.conj().T @ a - np.eye(5), 2))
+        assert linalg.hermiticity_defect(a) == float(np.linalg.norm(a - a.conj().T, 2))
+
+
 class TestInvSqrtPsd:
     def test_identity(self):
         assert np.allclose(linalg.inv_sqrt_psd(np.eye(3)), np.eye(3))

@@ -117,6 +117,29 @@ class TestTransport2D:
         assert sheet.intertwining_residual <= 1e-8
         assert sheet.symmetry_residual <= 1e-8
 
+    def test_sheet_audits_match_per_node_loop(self):
+        # the row-batched audits reproduce the per-node reference exactly
+        km = kane_mele(1.0, 0.06, 0.05, 0.1)
+        field, _ = spectral_projector(km, 2)
+        sheet = transport_2d(field, Grid2(8, 8), symmetric=True)
+        t_nodes = np.append(linalg.grid_nodes(8), np.pi)
+        k2_nodes = linalg.grid_nodes(8)
+        base = field.at(0.0, 0.0)
+        inter = sym = 0.0
+        for i, t in enumerate(t_nodes):
+            for j, k2 in enumerate(k2_nodes):
+                u = sheet.u[i, j]
+                inter = max(inter, linalg.op_norm(u @ base @ u.conj().T - field.at(t, k2)))
+                if i >= 4:
+                    mirror = field.trs.conjugate(u) - sheet.u[8 - i, (-j) % 8]
+                    sym = max(sym, linalg.op_norm(mirror))
+                else:
+                    assert np.array_equal(
+                        u, field.trs.conjugate(sheet.u[8 - i, (-j) % 8])
+                    )
+        assert sheet.intertwining_residual == inter
+        assert sheet.symmetry_residual == sym
+
     def test_symmetric_sheet_matches_1d_line(self):
         km = kane_mele(1.0, 0.06, 0.05, 0.1)
         field, _ = spectral_projector(km, 2)

@@ -121,6 +121,26 @@ class TestValidateField:
             assert "trs" in report.failures()
             assert report.worst_points["trs"] is not None
 
+    def test_corrupted_node_pinpointed(self):
+        r = rng(10)
+        p = random_projector(r, 4, 2)
+        bump = random_projector(r, 4, 1)
+        g = Grid2(6, 8)
+        first = (g.nodes1[2], g.nodes2[5])
+        second = (g.nodes1[4], g.nodes2[1])
+
+        def evaluator(k1, k2):
+            # two equally corrupted nodes: the first in row-major order wins
+            if (k1, k2) in (first, second):
+                return p + 1e-3 * bump
+            return p
+
+        report = validate_field(ProjectionField(4, 2, evaluator), g)
+        assert not report.passed
+        assert set(report.failures()) == {"idempotency", "rank"}
+        assert report.worst_points["idempotency"] == first
+        assert report.worst_points["rank"] == first
+
     def test_idempotent_and_pure(self):
         p = np.diag([1.0, 0.0]).astype(complex)
         f = constant_field(p)
