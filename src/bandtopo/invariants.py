@@ -45,6 +45,7 @@ MAX_REFINE_DEPTH = 8
 J_CONSTRAINT_FAIL = 1e-6
 FHS_ROUND_TOL = 1e-3
 DELTA_ROUND_TOL = 1e-6
+_WILSON_BLOCK = 512  # projectors sampled as one stack by wilson_z2
 
 
 @dataclass(frozen=True)
@@ -349,16 +350,25 @@ def fhs_chern(field: ProjectionField, grid: Grid2 = DEFAULT_GRID, max_depth=MAX_
 # Wilson-loop (Wannier-center flow) oracle
 
 
-def _wilson_eigenphases(field, k2, n1):
+def _wilson_eigenphases(field, k2_lines, n1):
+    """Sorted eigenphases of the k1 Wilson loop on each line k2, as a
+    (lines, rank) array. About _WILSON_BLOCK projectors are sampled and
+    reduced as one stack at a time, through ``field.sample_points``."""
     nodes = linalg.grid_nodes(n1)
-    _, v = np.linalg.eigh(np.array([field.at(k1, k2) for k1 in nodes]))
-    frames = v[..., field.dim - field.rank :]
-    links = linalg.polar_unitary(linalg.dagger(frames) @ np.roll(frames, -1, axis=0))
-    w = np.eye(field.rank, dtype=complex)
-    for i in range(n1):
-        w = w @ links[i]
-    vals = np.linalg.eigvals(w)
-    return np.sort(np.angle(vals / np.abs(vals)))
+    r = field.rank
+    per_block = max(1, _WILSON_BLOCK // n1)
+    phases = np.empty((len(k2_lines), r))
+    for start in range(0, len(k2_lines), per_block):
+        k2 = np.asarray(k2_lines[start : start + per_block], dtype=float)
+        _, v = np.linalg.eigh(field.sample_points(nodes, k2[:, None]))
+        frames = v[..., field.dim - r :]
+        links = linalg.polar_unitary(linalg.dagger(frames) @ np.roll(frames, -1, axis=1))
+        w = np.broadcast_to(np.eye(r, dtype=complex), (k2.size, r, r))
+        for i in range(n1):
+            w = w @ links[:, i]
+        vals = np.linalg.eigvals(w)
+        phases[start : start + k2.size] = np.sort(np.angle(vals / np.abs(vals)), axis=-1)
+    return phases
 
 
 def _reference_line(phases_start, phases_end):
@@ -390,9 +400,8 @@ def _match_and_count(prev, nxt, ref, tol):
     return int(np.sum(np.floor(lifted / (2.0 * np.pi))))
 
 
-def _wilson_parity(field, n1, n2):
-    track = [idx * np.pi / n2 for idx in range(n2 + 1)]
-    phases = [_wilson_eigenphases(field, k2, n1) for k2 in track]
+def _crossing_count(phases):
+    """Signed crossings of the reference line along a track of eigenphase rows."""
     ref = _reference_line(phases[0], phases[-1])
     endpoint_margin = min(
         np.min(_circ_dist(phases[0], ref)), np.min(_circ_dist(phases[-1], ref))
@@ -400,9 +409,22 @@ def _wilson_parity(field, n1, n2):
     if endpoint_margin < 1e-4:
         raise RefinementNeeded("reference line touches an endpoint phase", axis="k2")
     crossings = 0
-    for step in range(n2):
+    for step in range(len(phases) - 1):
         crossings += _match_and_count(phases[step], phases[step + 1], ref, np.pi / 2)
     return crossings
+
+
+def _wilson_crossings(field, n1, n_track):
+    """(crossings, audit): the counts over n_track and 2 n_track steps of
+    [0, pi]. Each of the 2 n_track + 1 lines is computed once; the even
+    lines (k2 = 2 idx pi / 2n == idx pi / n bit for bit) are counted before
+    the odd ones are computed, so a failing count costs no more lines."""
+    track = np.arange(2 * n_track + 1) * np.pi / (2 * n_track)
+    phases = np.empty((track.size, field.rank))
+    phases[::2] = _wilson_eigenphases(field, track[::2], n1)
+    crossings = _crossing_count(phases[::2])
+    phases[1::2] = _wilson_eigenphases(field, track[1::2], n1)
+    return crossings, _crossing_count(phases)
 
 
 def _circ_dist(angles, ref):
@@ -416,7 +438,8 @@ def wilson_z2(field: ProjectionField, grid: Grid2 = WILSON_GRID, max_depth=MAX_R
     Eigenphases of the k1 Wilson loop are tracked between the two
     time-reversal invariant lines; the result is the parity of signed
     crossings of a reference line chosen in the largest endpoint gap. The
-    parity is audited by recomputation at doubled k2 resolution.
+    parity is audited by a recount at doubled k2 resolution, on the lines
+    of the first count plus the lines between them.
     """
     if field.trs is None:
         raise InvalidInput("wilson_z2 needs a TRS-certified field")
@@ -424,9 +447,7 @@ def wilson_z2(field: ProjectionField, grid: Grid2 = WILSON_GRID, max_depth=MAX_R
         raise InvalidInput("wilson_z2 needs even rank")
 
     def pipeline(g):
-        n_track = g.n2 // 2
-        crossings = _wilson_parity(field, g.n1, n_track)
-        audit = _wilson_parity(field, g.n1, 2 * n_track)
+        crossings, audit = _wilson_crossings(field, g.n1, g.n2 // 2)
         if (crossings - audit) % 2 != 0:
             raise RefinementNeeded(
                 "crossing parity changed under doubled tracking resolution",

@@ -90,13 +90,13 @@ class BlochHamiltonian:
         return max(max(abs(m[0]), abs(m[1])) for m in self.harmonics)
 
     def at(self, k1, k2) -> np.ndarray:
+        """H(k1, k2); array arguments broadcast to a (..., D, D) stack."""
+        k1 = np.asarray(k1, dtype=float)[..., None]
+        k2 = np.asarray(k2, dtype=float)[..., None]
         phases = np.exp(1j * (self._orders[:, 0] * k1 + self._orders[:, 1] * k2))
         # summed in dict order from a zero matrix, as term-by-term addition
-        terms = np.concatenate(
-            [np.zeros((1, self.dim, self.dim), dtype=complex), self._coeffs * phases[:, None, None]]
-        )
-        h = np.add.reduce(terms, axis=0)
-        return 0.5 * (h + h.conj().T)
+        h = np.add.reduce(self._coeffs * phases[..., None, None], axis=-3, initial=0.0)
+        return 0.5 * (h + h.conj().swapaxes(-1, -2))
 
     def __call__(self, k1, k2):
         return self.at(k1, k2)
@@ -143,7 +143,12 @@ class _HarmonicBuilder:
 
 @dataclass(frozen=True)
 class GapWindow:
-    """Certified spectral gap above the occupied group of bands."""
+    """Sampled spectral gap above the occupied group of bands.
+
+    ``min_gap`` is the smallest gap met on the validation grid's nodes and on
+    a 3x3 patch at half step around the smallest of them, at ``argmin_k``; it
+    is not a bound on the gap between the samples.
+    """
 
     occupied: int
     min_gap: float
@@ -163,10 +168,11 @@ def spectral_projector(
     """Projector field onto the lowest ``occupied`` bands, with gap audit.
 
     Occupied-band grouping replaces contour integration by eigenvalue
-    counting below the certified gap; the two agree exactly whenever the
-    gap is open. The gap is scanned on ``validation_grid`` and refined once
-    at half step around the minimum; closure raises GapClosed naming the
-    worst quasi-momentum.
+    counting below the gap; the two agree exactly whenever the gap is open.
+    The gap is sampled on the nodes of ``validation_grid`` (64x64 by
+    default) and on a 3x3 patch at half step around the smallest node value;
+    a sampled gap below ``g_min`` raises GapClosed naming the worst sampled
+    quasi-momentum. A gap that closes only between the samples goes unseen.
     """
     dim = hamiltonian.dim
     if not 0 < occupied < dim:
@@ -195,11 +201,11 @@ def spectral_projector(
         raise GapClosed(argmin, min_gap)
 
     def evaluator(k1, k2):
-        w, v = np.linalg.eigh(hamiltonian.at(k1, k2))
-        occ = v[:, :occupied]
-        return occ @ occ.conj().T
+        _, v = np.linalg.eigh(hamiltonian.at(k1, k2))
+        occ = v[..., :occupied]
+        return occ @ linalg.dagger(occ)
 
-    field = ProjectionField(
+    field = _SpectralField(
         dim,
         occupied,
         evaluator,
@@ -207,6 +213,14 @@ def spectral_projector(
         provenance=f"lowest {occupied} bands of {hamiltonian.provenance}",
     )
     return field, GapWindow(occupied, float(min_gap), argmin)
+
+
+class _SpectralField(ProjectionField):
+    """Field of ``spectral_projector``: its evaluator takes whole stacks (one
+    stacked ``BlochHamiltonian.at`` and one stacked ``eigh``)."""
+
+    def sample_points(self, k1, k2) -> np.ndarray:
+        return self._evaluate(k1, k2)
 
 
 # --------------------------------------------------------------------------

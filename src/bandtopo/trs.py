@@ -117,8 +117,10 @@ class Grid2:
 class ProjectionField:
     """Evaluator k -> rank-r orthogonal projector on C^D over the 2-torus.
 
-    Evaluations are memoized per exact node, which keeps repeated pipeline
-    passes (validation, transport, matching) from re-diagonalizing models.
+    ``at`` memoizes per exact node, which keeps repeated pipeline passes
+    (validation, transport, matching) from re-diagonalizing models.
+    ``sample_points`` evaluates a whole stack of nodes and bypasses the memo;
+    ``wilson_z2``, which visits each node once, samples through it.
     Evaluators must be pure; concurrent evaluation at distinct k is safe.
     """
 
@@ -141,14 +143,28 @@ class ProjectionField:
         key = (float(k1), float(k2))
         hit = self._cache.get(key)
         if hit is None:
-            hit = np.asarray(self._evaluate(key[0], key[1]), dtype=complex)
-            if hit.shape != (self.dim, self.dim):
-                raise InvalidInput("evaluator returned a wrong-shaped matrix")
+            hit = self._checked(key[0], key[1])
             self._cache[key] = hit
         return hit
 
+    def _checked(self, k1, k2):
+        p = np.asarray(self._evaluate(k1, k2), dtype=complex)
+        if p.shape != (self.dim, self.dim):
+            raise InvalidInput("evaluator returned a wrong-shaped matrix")
+        return p
+
     def _evaluate(self, k1, k2):
         return self._evaluator(k1, k2)
+
+    def sample_points(self, k1, k2) -> np.ndarray:
+        """The (..., D, D) stack of P over the nodes (k1, k2), broadcast
+        together; node by node here, neither reading nor filling the memo.
+        Fields whose evaluator takes whole stacks override this."""
+        k1, k2 = np.broadcast_arrays(np.asarray(k1, dtype=float), np.asarray(k2, dtype=float))
+        out = np.empty(k1.shape + (self.dim, self.dim), dtype=complex)
+        for idx in np.ndindex(k1.shape):
+            out[idx] = self._checked(float(k1[idx]), float(k2[idx]))
+        return out
 
     def __call__(self, k1, k2):
         return self.at(k1, k2)

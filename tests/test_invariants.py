@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from bandtopo import linalg
-from bandtopo.errors import InvalidInput, SymmetryBroken
+from bandtopo import invariants, linalg
+from bandtopo.errors import InvalidInput, RefinementNeeded, SymmetryBroken
 from bandtopo.invariants import (
     InvariantReport,
+    _wilson_crossings,
+    _wilson_eigenphases,
     chern,
     delta,
     fhs_chern,
@@ -243,6 +245,41 @@ class TestDelta:
         assert rep.diagnostics["j_constraint_residual"] <= 1e-7
 
 
+def line_eigenphases(field, k2, n1):
+    """Wilson-loop eigenphases of one line, node by node through the memo."""
+    nodes = linalg.grid_nodes(n1)
+    _, v = np.linalg.eigh(np.array([field.at(k1, k2) for k1 in nodes]))
+    frames = v[..., field.dim - field.rank :]
+    links = linalg.polar_unitary(linalg.dagger(frames) @ np.roll(frames, -1, axis=0))
+    w = np.eye(field.rank, dtype=complex)
+    for i in range(n1):
+        w = w @ links[i]
+    vals = np.linalg.eigvals(w)
+    return np.sort(np.angle(vals / np.abs(vals)))
+
+
+def track_eigenphases(field, n1, n2):
+    """Eigenphases of the n2 + 1 lines of a separate pass over [0, pi]."""
+    track = [idx * np.pi / n2 for idx in range(n2 + 1)]
+    return np.array([line_eigenphases(field, k2, n1) for k2 in track])
+
+
+def two_pass_parity(field, n1, n2):
+    """Crossing count of a separate pass over n2 steps of [0, pi]."""
+    phases = track_eigenphases(field, n1, n2)
+    ref = invariants._reference_line(phases[0], phases[-1])
+    endpoint_margin = min(
+        np.min(invariants._circ_dist(phases[0], ref)),
+        np.min(invariants._circ_dist(phases[-1], ref)),
+    )
+    if endpoint_margin < 1e-4:
+        raise RefinementNeeded("reference line touches an endpoint phase", axis="k2")
+    crossings = 0
+    for step in range(n2):
+        crossings += invariants._match_and_count(phases[step], phases[step + 1], ref, np.pi / 2)
+    return crossings
+
+
 class TestWilson:
     def test_constant(self):
         f = trs_constant_field(2, 4)
@@ -266,3 +303,52 @@ class TestWilson:
                 worst = max(worst, linalg.op_norm(f0.at(k1, k2) - f1.at(k1, k2)))
         assert worst <= 0.5
         assert delta(f0, Grid2(16, 16)).value == delta(f1, Grid2(16, 16)).value
+
+    def test_blocked_eigenphases_equal_per_line(self, monkeypatch):
+        # three lines per block, so the last block is a partial one
+        monkeypatch.setattr(invariants, "_WILSON_BLOCK", 3 * 16)
+        for field in (km_field(), random_trs_hamiltonian(8, 4, 2, seed=3)[1]):
+            track = np.arange(9) * np.pi / 8
+            out = _wilson_eigenphases(field, track, 16)
+            ref = np.array([line_eigenphases(field, k2, 16) for k2 in track])
+            assert np.array_equal(out, ref)
+
+    def test_one_pass_crossings_equal_two_passes(self, monkeypatch):
+        counted = []
+        count = invariants._crossing_count
+
+        def recording_count(phases):
+            counted.append(phases.copy())
+            return count(phases)
+
+        monkeypatch.setattr(invariants, "_crossing_count", recording_count)
+        cases = ((km_field(), 32, 32), (random_trs_hamiltonian(8, 4, 2, seed=5)[1], 32, 16))
+        for field, n1, n_track in cases:
+            counted.clear()
+            ref = (two_pass_parity(field, n1, n_track), two_pass_parity(field, n1, 2 * n_track))
+            assert _wilson_crossings(field, n1, n_track) == ref
+            # the counts read the very eigenphases of the two separate passes
+            assert np.array_equal(counted[0], track_eigenphases(field, n1, n_track))
+            assert np.array_equal(counted[1], track_eigenphases(field, n1, 2 * n_track))
+
+    def test_one_pass_keeps_the_first_pass_trigger(self):
+        field = km_field()
+        with pytest.raises(RefinementNeeded) as ref:
+            two_pass_parity(field, 16, 4)
+        with pytest.raises(RefinementNeeded) as out:
+            _wilson_crossings(field, 16, 4)
+        assert (str(out.value), out.value.axis) == (str(ref.value), ref.value.axis)
+
+    def test_memo_untouched(self):
+        field = km_field()
+        field.at(0.1, 0.2)
+        assert wilson_z2(field, Grid2(16, 32)) == -1
+        assert len(field._cache) == 1
+
+    def test_odd_random_draw(self):
+        # the odd draw of the benchmark's random workload: both Z2 routes say -1
+        _, field, _ = random_trs_hamiltonian(
+            8, 4, 2, seed=730668049, dispersion=1.5, g_min=0.15, max_draws=1
+        )
+        assert delta(field).value == -1
+        assert wilson_z2(field) == -1

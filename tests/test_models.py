@@ -76,6 +76,28 @@ class TestBlochEvaluation:
                 assert np.array_equal(np.signbit(out.view(float)), np.signbit(ref.view(float)))
 
 
+class TestStackedEvaluation:
+    def test_stacked_at_equals_pointwise_at(self):
+        # a stack of nodes gives, bit for bit, the matrices of one call per node
+        models = [
+            kane_mele(1.0, 0.06, 0.05, 0.1),
+            haldane(1.0, 0.1, np.pi / 2, 0.2),
+            random_trs_hamiltonian(8, 4, 2, seed=3)[0],
+        ]
+        k1 = np.array([0.0, -0.0, np.pi, -1.7, 2.4])[:, None]
+        k2 = np.array([0.0, -np.pi, -0.0, 0.9, -2.1, 3.0])
+        for h in models:
+            out = h.at(k1, k2)
+            assert out.shape == (5, 6, h.dim, h.dim)
+            for i in range(5):
+                for j in range(6):
+                    ref = h.at(float(k1[i, 0]), float(k2[j]))
+                    assert np.array_equal(out[i, j], ref)
+                    assert np.array_equal(
+                        np.signbit(out[i, j].view(float)), np.signbit(ref.view(float))
+                    )
+
+
 class TestHaldane:
     def test_requires_hopping(self):
         with pytest.raises(InvalidInput):

@@ -3,6 +3,7 @@ import pytest
 
 from bandtopo import linalg
 from bandtopo.errors import InvalidInput, NotInvariant, OddQuaternionicDimension
+from bandtopo.models import kane_mele, spectral_projector
 from bandtopo.trs import (
     Grid2,
     ProjectionField,
@@ -206,6 +207,31 @@ class TestSampledField:
         assert abs(np.trace(p).real - 2.0) <= 1e-10
         # wrap-around consistency
         assert linalg.op_norm(s.at(0.1 + 2 * np.pi, 0.2) - p) <= 1e-12
+
+
+class TestSamplePoints:
+    def _check_against_at(self, field):
+        k1 = np.array([-np.pi, -0.4, 1.3])
+        k2 = np.array([0.0, 2.2])[:, None]
+        out = field.sample_points(k1, k2)
+        assert out.shape == (2, 3, field.dim, field.dim)
+        assert len(field._cache) == 0
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(out[i, j], field.at(k1[j], k2[i, 0]))
+
+    def test_spectral_field_matches_at_without_memo(self):
+        field, _ = spectral_projector(kane_mele(1.0, 0.06, 0.05, 0.1), 2)
+        self._check_against_at(field)
+
+    def test_direct_sum_matches_at_without_memo(self):
+        field, _ = spectral_projector(kane_mele(1.0, 0.06, 0.05, 0.1), 2)
+        self._check_against_at(direct_sum_fields(field, field))
+
+    def test_wrong_shape_rejected(self):
+        f = ProjectionField(2, 1, lambda k1, k2: np.eye(3))
+        with pytest.raises(InvalidInput):
+            f.sample_points([0.0, 1.0], 0.5)
 
 
 class TestDirectSum:
