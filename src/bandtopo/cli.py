@@ -39,6 +39,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .decomposition import (
+    pseudo_periodic_frame,
     save_frame,
     split,
     symmetric_equivalence,
@@ -227,7 +228,7 @@ def _sanitize(value):
     return value
 
 
-def _invariant_record(config, command, field, window, grid):
+def _invariant_record(command, field, window, grid):
     values = {}
     diagnostics = {}
     if window is not None:
@@ -266,24 +267,12 @@ def run_single(config: RunConfig, sweep_value=None) -> ResultRecord:
         field, window = build_field(model_spec, config.occupied, grid, config.seed)
 
         if sweep_value is not None:
-            values = {}
-            diagnostics = {"min_gap": window.min_gap if window else None}
-            depth = 0
-            if field.trs is not None:
-                report = delta(field, grid)
-                values["delta"] = report.value
-                values["chern"] = None
-            else:
-                report = chern(field, grid)
-                values["chern"] = report.value
-                values["delta"] = None
-            diagnostics.update(report.diagnostics)
-            depth = report.diagnostics.get("grid_depth", 0)
+            command = "delta" if field.trs is not None else "chern"
+            values, diagnostics, depth = _invariant_record(command, field, window, grid)
+            values.setdefault("chern" if command == "delta" else "delta", None)
             outcome, message = "ok", ""
         elif command in ("chern", "delta"):
-            values, diagnostics, depth = _invariant_record(
-                config, command, field, window, grid
-            )
+            values, diagnostics, depth = _invariant_record(command, field, window, grid)
             outcome, message = "ok", ""
         elif command == "split":
             cert = split(field, int(config.split_h), grid)
@@ -300,8 +289,6 @@ def run_single(config: RunConfig, sweep_value=None) -> ResultRecord:
             if field.trs is not None:
                 frame = symmetric_frame(field, grid)
             else:
-                from .decomposition import pseudo_periodic_frame
-
                 frame = pseudo_periodic_frame(field, grid)
             values = {
                 "h": frame.h,

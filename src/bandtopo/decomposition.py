@@ -34,7 +34,6 @@ from .errors import (
     IntegralityViolation,
     InvalidInput,
     ParityObstruction,
-    Unresolved,
 )
 from .invariants import (
     DEFAULT_GRID,
@@ -254,10 +253,9 @@ def split(
 
 def _split(field, h, grid, max_depth):
     """split's refinement ladder; ``h=None`` takes h in {0, 1} from delta."""
-    n = field.rank // 2
     result, depth = _run_ladder(
         grid,
-        lambda g: _split_at_grid(field, h, n, g),
+        lambda g: _split_at_grid(field, h, _symmetric_family(field, g)),
         max_depth,
         soft_errors=(IntegralityViolation,),
     )
@@ -265,16 +263,24 @@ def _split(field, h, grid, max_depth):
     return result
 
 
-def _split_at_grid(field, h, n, g):
-    trs = field.trs
-    n1, n2 = g.n1, g.n2
-    j = canonical_j(n)
-
+def _symmetric_family(field, g):
+    """Symmetric sheet, quaternionic basis, matching family and delta at g."""
     sheet = transport_2d(field, g, symmetric=True)
     occ = occupied_basis(sheet.base_projector, field.rank)
-    qbasis = quaternionic_basis(occ, trs)
+    qbasis = quaternionic_basis(occ, field.trs)
     fam = matching_family(sheet, qbasis)
     sign, _ = _delta_from_family(fam)
+    return sheet, qbasis, fam, sign
+
+
+def _split_at_grid(field, h, family):
+    """Glue the split on the grid of ``family``, the field's symmetric head."""
+    sheet, qbasis, fam, sign = family
+    trs = field.trs
+    g = sheet.grid
+    n1, n2 = g.n1, g.n2
+    n = field.rank // 2
+    j = canonical_j(n)
     if h is None:
         h = 0 if sign == 1 else 1
     elif (-1) ** (h % 2) != sign:
@@ -470,6 +476,13 @@ def symmetric_frame(
     if field.trs is None:
         raise InvalidInput("symmetric frames need a TRS-certified field")
     cert = _split(field, None, grid, max_depth)
+    frame = _kramers_frame(field, cert)
+    frame.residuals["grid_depth"] = cert.residuals["grid_depth"]
+    return frame
+
+
+def _kramers_frame(field, cert):
+    """The audited symmetric frame of a split of ``field`` with h from delta."""
     n = field.rank // 2
     vectors = cert.frames.copy()
     vectors[..., n:] *= -1.0
@@ -478,7 +491,6 @@ def symmetric_frame(
     exponents[n] = -cert.h
     residuals = _audit_frame(vectors, field, exponents, trs=field.trs)
     residuals["delta"] = cert.delta
-    residuals["grid_depth"] = cert.residuals["grid_depth"]
     return FrameField(
         vectors,
         exponents,
@@ -530,6 +542,8 @@ def symmetric_equivalence(
     obstruction result, not an exception. Matched symmetric frames of the
     fields and of their kernels share boundary phase laws, so the vector
     correspondence V v^0_c = v^1_c extends to a genuinely periodic family.
+    One refinement ladder; deltas read at the common grid, from the head of
+    each field's split, so an obstruction returns before any gluing.
     """
     if field0.dim != field1.dim or field0.rank != field1.rank:
         raise InvalidInput("equivalence needs equal dimension and rank")
@@ -540,44 +554,37 @@ def symmetric_equivalence(
             "equivalence is defined against a single time-reversal operator; "
             "the two fields carry different J"
         )
-    d0 = delta(field0, grid, max_depth=max_depth).value
-    d1 = delta(field1, grid, max_depth=max_depth).value
-    if d0 != d1:
-        return EquivalenceResult(True, d0, d1)
-
     sources = [field0, field1]
     if field0.dim > field0.rank:
         sources += [complement_field(field0), complement_field(field1)]
+    result, _ = _run_ladder(
+        grid,
+        lambda g: _equivalence_at_grid(sources, g),
+        max_depth,
+        soft_errors=(IntegralityViolation,),
+    )
+    return result
 
-    # refinement ladders may stop at different grids per frame; the vector
-    # correspondence needs all frames sampled at identical (t, k2) nodes
-    frames = [symmetric_frame(s, grid, max_depth=max_depth) for s in sources]
-    for _ in range(max_depth):
-        sizes = [(fr.grid.n1, fr.grid.n2) for fr in frames]
-        common = (max(s[0] for s in sizes), max(s[1] for s in sizes))
-        if all(s == common for s in sizes):
-            break
-        frames = [
-            fr
-            if (fr.grid.n1, fr.grid.n2) == common
-            else symmetric_frame(src, Grid2(*common), max_depth=max_depth)
-            for fr, src in zip(frames, sources)
-        ]
-    else:
-        raise Unresolved("frame grids failed to converge to a common refinement")
 
-    f0, f1 = frames[0], frames[1]
-    pieces = [(f0, f1)]
-    if len(frames) == 4:
-        pieces.append((frames[2], frames[3]))
+def _equivalence_at_grid(sources, g):
+    """Every source split and framed on g; a trigger from any refines all."""
+    field0, field1 = sources[:2]
+    families = [_symmetric_family(f, g) for f in sources[:2]]
+    d0, d1 = families[0][3], families[1][3]
+    if d0 != d1:
+        return EquivalenceResult(True, d0, d1)
+    families += [_symmetric_family(f, g) for f in sources[2:]]
+    frames = [
+        _kramers_frame(src, _split_at_grid(src, None, fam))
+        for src, fam in zip(sources, families)
+    ]
 
-    n1p1, n2 = f0.vectors.shape[0], f0.vectors.shape[1]
-    n1 = n1p1 - 1
-    rows = range(n1p1)
+    n1, n2 = g.n1, g.n2
+    rows = range(n1 + 1)
     neg = (-np.arange(n2)) % n2
-    v = np.zeros((n1p1, n2, field0.dim, field0.dim), dtype=complex)
+    v = np.zeros((n1 + 1, n2, field0.dim, field0.dim), dtype=complex)
     for i in rows:
-        for a, b in pieces:
+        for a, b in zip(frames[0::2], frames[1::2]):
             v[i] += b.vectors[i] @ linalg.dagger(a.vectors[i])
 
     t_nodes = np.append(linalg.grid_nodes(n1), np.pi)

@@ -286,8 +286,19 @@ def kane_mele(t, lambda_so, lambda_r, lambda_v) -> BlochHamiltonian:
     """
     if t == 0:
         raise InvalidInput("kane_mele model needs t != 0")
-    trs = TRSStructure(KM_J)
+    model = _kane_mele_terms(t, lambda_so, lambda_r, lambda_v).build(
+        trs=TRSStructure(KM_J),
+        provenance=(
+            f"kane_mele(t={t}, lambda_so={lambda_so}, "
+            f"lambda_r={lambda_r}, lambda_v={lambda_v})"
+        ),
+    )
+    _kane_mele_reference_check()
+    return model
 
+
+def _kane_mele_terms(t, lambda_so, lambda_r, lambda_v):
+    """The coefficient table of kane_mele, accumulated into harmonics."""
     b = _HarmonicBuilder(4)
     b.add_const(t * _G1 + lambda_v * _G2 + lambda_r * _G3)
     b.add_cos((1, 0), t * _G1)
@@ -305,16 +316,7 @@ def kane_mele(t, lambda_so, lambda_r, lambda_v) -> BlochHamiltonian:
     b.add_sin((0, 1), -0.5 * lambda_r * _G23)
     b.add_sin((1, 0), 0.5 * np.sqrt(3.0) * lambda_r * _G24)
     b.add_sin((0, 1), -0.5 * np.sqrt(3.0) * lambda_r * _G24)
-
-    model = b.build(
-        trs=trs,
-        provenance=(
-            f"kane_mele(t={t}, lambda_so={lambda_so}, "
-            f"lambda_r={lambda_r}, lambda_v={lambda_v})"
-        ),
-    )
-    _kane_mele_reference_check()
-    return model
+    return b
 
 
 def _kane_mele_reference_check():
@@ -325,17 +327,9 @@ def _kane_mele_reference_check():
     _km_reference_checked = True  # set first; a failure below still raises
     from .invariants import fhs_chern
 
-    b = _HarmonicBuilder(4)
-    t, lambda_so, lambda_v = 1.0, 0.06, 0.1
-    b.add_const(t * _G1 + lambda_v * _G2)
-    b.add_cos((1, 0), t * _G1)
-    b.add_cos((0, 1), t * _G1)
-    b.add_sin((1, 0), -t * _G12)
-    b.add_sin((0, 1), -t * _G12)
-    b.add_sin((1, -1), 2.0 * lambda_so * _G15)
-    b.add_sin((1, 0), -2.0 * lambda_so * _G15)
-    b.add_sin((0, 1), 2.0 * lambda_so * _G15)
-    reference = b.build(provenance="kane_mele reference (lambda_r = 0)")
+    reference = _kane_mele_terms(1.0, 0.06, 0.0, 0.1).build(
+        provenance="kane_mele reference (lambda_r = 0)"
+    )
 
     up, down = [0, 2], [1, 3]
     off = np.zeros((4, 4), dtype=bool)

@@ -23,13 +23,17 @@ def write_config(tmp_path, doc, name="config.json"):
     return path
 
 
+def km_model(lambda_v):
+    return {
+        "name": "kane_mele",
+        "params": {"t": 1.0, "lambda_so": 0.06, "lambda_r": 0.05, "lambda_v": lambda_v},
+    }
+
+
 KM_TOPO = {
     "schema": 1,
     "command": "delta",
-    "model": {
-        "name": "kane_mele",
-        "params": {"t": 1.0, "lambda_so": 0.06, "lambda_r": 0.05, "lambda_v": 0.1},
-    },
+    "model": km_model(0.1),
     "occupied": 2,
     "grid": [16, 16],
 }
@@ -140,6 +144,24 @@ class TestMainEntry:
         doc = dict(KM_TOPO, command="split", split_h=0)
         path = write_config(tmp_path, doc)
         assert main(["--config", str(path)]) == 2
+
+    def test_equivalence_same_class(self, tmp_path, capsys):
+        doc = dict(KM_TOPO, command="equivalence", model2=km_model(0.15))
+        code = main(["--config", str(write_config(tmp_path, doc)), "--verbose"])
+        line = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert code == 0
+        assert line["values"] == {"delta0": -1, "delta1": -1, "obstructed": False}
+        residuals = line["diagnostics"]
+        assert set(residuals) == {"intertwining", "periodicity", "trs", "unitarity"}
+        assert max(residuals.values()) <= 1e-7
+
+    def test_equivalence_obstructed(self, tmp_path, capsys):
+        doc = dict(KM_TOPO, command="equivalence", model2=km_model(0.5))
+        code = main(["--config", str(write_config(tmp_path, doc)), "--verbose"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert json.loads(out[0])["values"] == {"delta0": -1, "delta1": 1, "obstructed": True}
+        assert out[1] == "  note: delta invariants differ"
 
     def test_exit_four_on_bad_config(self, tmp_path, capsys):
         path = write_config(tmp_path, {"schema": 2, "command": "delta"})

@@ -15,7 +15,7 @@ from bandtopo.decomposition import (
     symmetric_frame,
     verify_homotopy,
 )
-from bandtopo.errors import InvalidInput, ParityObstruction
+from bandtopo.errors import InvalidInput, ParityObstruction, Unresolved
 from bandtopo.invariants import chern, delta
 from bandtopo.models import (
     gauge_transform,
@@ -260,6 +260,49 @@ class TestSymmetricEquivalence:
         assert res.obstructed
         assert res.unitary is None
         assert (res.delta0, res.delta1) == (-1, 1)
+
+    def test_one_ladder_one_sheet_per_source_and_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("equivalence must not run a nested ladder")
+
+        monkeypatch.setattr(decomposition, "delta", refuse)
+        monkeypatch.setattr(decomposition, "symmetric_frame", refuse)
+        built, keep = [], []
+        transport_2d = decomposition.transport_2d
+
+        def counted(field, g, symmetric=False, **kwargs):
+            if symmetric:
+                keep.append(field)  # keeps each id unique while counting
+                built.append((id(field), g.n1, g.n2))
+            return transport_2d(field, g, symmetric=symmetric, **kwargs)
+
+        monkeypatch.setattr(decomposition, "transport_2d", counted)
+        f = km_field(0.1)
+        w = random_gauge_map(4, seed=7, symmetric=True, trs=f.trs)
+        res = symmetric_equivalence(f, gauge_transform(f, w, symmetric=True), Grid2(16, 16))
+        assert not res.obstructed
+        assert max(res.residuals.values()) <= 1e-7
+        assert built and len(set(built)) == len(built)
+
+    def test_ladder_depth_bounds_the_joint_ladder(self):
+        from bandtopo.models import KM_J
+
+        # this pair certifies only after refining 16x16 to 64x128
+        _, rf, _ = random_trs_hamiltonian(4, 2, 2, seed=5, j=KM_J, dispersion=0.8)
+        with pytest.raises(Unresolved, match="depth 0"):
+            symmetric_equivalence(km_field(0.1), rf, Grid2(16, 16), max_depth=0)
+
+    def test_non_orthonormal_frames_refused(self, monkeypatch):
+        split_at_grid = decomposition._split_at_grid
+
+        def skewed(*args):
+            cert = split_at_grid(*args)
+            return dataclasses.replace(cert, frames=cert.frames * (1.0 + 1e-6))
+
+        monkeypatch.setattr(decomposition, "_split_at_grid", skewed)
+        f = km_field(0.1)
+        with pytest.raises(InvalidInput, match="gram"):
+            symmetric_equivalence(f, f, Grid2(16, 16))
 
 
 class TestVerifyHomotopy:
